@@ -52,7 +52,11 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.edb.records import Record
-from repro.util.mp import attach_shared_memory
+from repro.util.mp import (
+    attach_shared_memory,
+    create_shared_memory,
+    unlink_shared_memory,
+)
 
 __all__ = [
     "EncryptedRecord",
@@ -369,7 +373,7 @@ def _reap_shared_segments(segments: dict) -> None:
             continue
         segments[slot] = None
         try:
-            segment.unlink()
+            unlink_shared_memory(segment)
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
         try:
@@ -431,7 +435,10 @@ class SharedCiphertextArena(CiphertextArena):
     backstop, a ``weakref.finalize`` reaper unlinks the segments when the
     arena is garbage collected or the interpreter exits -- unlike ``__del__``
     this is deterministic at shutdown, so an unclosed arena can no longer
-    leak ``/dev/shm`` segments past process exit.
+    leak ``/dev/shm`` segments past process exit.  Segments are created
+    untracked (:func:`~repro.util.mp.create_shared_memory`): those paths,
+    plus a coordinator's sweep of a killed worker's segments
+    (:func:`~repro.util.mp.reap_process_segments`), are their only owners.
 
     Pickling serializes the *contents* and reconstructs a process-local
     :class:`CiphertextArena` (rows, handles and indices preserved verbatim):
@@ -453,10 +460,9 @@ class SharedCiphertextArena(CiphertextArena):
     # -- storage backend ------------------------------------------------------
 
     def _allocate(self, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-        segment = shared_memory.SharedMemory(
-            name=f"{self._arena_id}.g{self._generation + 1}",
-            create=True,
-            size=capacity * _SEGMENT_ROW_STRIDE,
+        segment = create_shared_memory(
+            f"{self._arena_id}.g{self._generation + 1}",
+            capacity * _SEGMENT_ROW_STRIDE,
         )
         self._generation += 1
         self._segments["pending"] = segment
@@ -473,7 +479,7 @@ class SharedCiphertextArena(CiphertextArena):
     def _retire(self, segment: shared_memory.SharedMemory) -> None:
         """Unlink a superseded segment; close it when no views pin it."""
         try:
-            segment.unlink()
+            unlink_shared_memory(segment)
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
         try:
@@ -556,11 +562,7 @@ class AttachedArenaView:
     """
 
     def __init__(self, segment_name: str, size: int) -> None:
-        # Arena ids embed the creating pid: an attach within the creator's
-        # own process (tests, single-process fleets) must leave the creator's
-        # resource-tracker registration alone.
-        created_here = segment_name.startswith(f"repro-arena-{os.getpid()}-")
-        self._segment = attach_shared_memory(segment_name, untrack=not created_here)
+        self._segment = attach_shared_memory(segment_name)
         self._name = segment_name
         self._finalizer = weakref.finalize(
             self, _close_attached_segment, self._segment

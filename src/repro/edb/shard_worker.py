@@ -238,8 +238,7 @@ def shard_worker_main(conn: Connection, shard: "EncryptedDatabase", index: int) 
                 _time.sleep(pending_delay_s)
                 pending_delay_s = 0.0
             if command == "shutdown":
-                for table_arena in getattr(shard, "_arenas", {}).values():
-                    table_arena.release()
+                _release_arenas(shard)
                 conn.send(("ok", None, 0.0))
                 break
             started = _time.perf_counter()
@@ -256,7 +255,16 @@ def shard_worker_main(conn: Connection, shard: "EncryptedDatabase", index: int) 
                         ("error", RuntimeError(f"{type(exc).__name__}: {exc}"), busy)
                     )
     finally:
+        # Also reached when the coordinator vanished (EOF or a broken pipe):
+        # the worker owns its untracked arena segments, so it removes them
+        # on every exit short of being killed.
+        _release_arenas(shard)
         conn.close()
+
+
+def _release_arenas(shard: "EncryptedDatabase") -> None:
+    for table_arena in getattr(shard, "_arenas", {}).values():
+        table_arena.release()
 
 
 def _dispatch(shard: "EncryptedDatabase", command: str, args: tuple):
@@ -282,11 +290,12 @@ def _dispatch(shard: "EncryptedDatabase", command: str, args: tuple):
     if command == "snapshot":
         # Serialized worker-side so the bytes carry the authoritative shard
         # state (RNG stream, ORAM maps, arenas) -- only the blob crosses
-        # the pipe.  Imported lazily: the worker loop must not pay for the
-        # store module unless durability is in use.
-        from repro.edb.store import snapshot_backend
+        # the pipe: a full snapshot, or with a cursor just what the shard
+        # appended past it.  Imported lazily: the worker loop must not pay
+        # for the store module unless durability is in use.
+        from repro.edb.store import checkpoint_backend
 
-        return snapshot_backend(shard)
+        return checkpoint_backend(shard, *args)
     if command == "rotate_key":
         (new_key,) = args
         shard.rotate_key(new_key)
@@ -515,7 +524,12 @@ class ShardWorkerClient:
 
     def snapshot(self) -> bytes:
         """Worker-side :func:`repro.edb.store.snapshot_backend` bytes."""
-        return self._call("snapshot")
+        return self.checkpoint()[0]
+
+    def checkpoint(self, cursor: Mapping | None = None) -> tuple[bytes, dict]:
+        """Worker-side :func:`repro.edb.store.checkpoint_backend`: a full
+        snapshot, or the delta past ``cursor``, and the next cursor."""
+        return self._call("snapshot", cursor)
 
     # -- chaos hooks (deterministic fault injection) ---------------------------
 

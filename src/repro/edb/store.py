@@ -30,14 +30,21 @@ Layers, bottom up:
   mid-run persistence: each :meth:`SnapshotStore.save` lands in its own
   ``snapshots/<seq>/`` :class:`EncryptedStore`, an atomic ``LATEST``
   pointer is advanced only after the manifest is durable, and older
-  generations are pruned (newest two kept).  A SIGKILL at any instant
-  leaves either the previous complete snapshot or the new complete
-  snapshot reachable; torn leftovers are skipped by the newest-valid scan.
+  generations are pruned (the newest two intact ones kept, plus every
+  generation they depend on).  A generation may name a ``parent`` in its
+  manifest meta: it is then one link of a chain that starts at a
+  parentless generation, and it is valid only while every link is.  A
+  SIGKILL at any instant leaves either the previous complete snapshot or
+  the new complete snapshot reachable; torn leftovers are skipped by the
+  newest-valid scan.
 * **Snapshot codecs** -- :func:`snapshot_backend` / :func:`restore_backend`
   serialize one :class:`~repro.edb.base.EncryptedDatabase` (arenas as raw
   row/handle bytes, everything else in a single pickle so shared objects
   like the ObliDB ORAMs' RNG stay shared), with the ORAM position maps
   re-verified against their checksummed snapshots on restore;
+  :func:`checkpoint_backend` / :func:`restore_chain` write and read the
+  supervisor's incremental checkpoints: a full snapshot, then deltas that
+  carry only what the append-only members gained past a cursor;
   :func:`snapshot_router` / :func:`restore_router` do the same for a
   :class:`~repro.edb.router.ShardRouter` plus its routing state, pulling
   each process-backed shard's snapshot over the worker pipe.
@@ -58,7 +65,7 @@ import os
 import pickle
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -83,6 +90,8 @@ __all__ = [
     "arena_from_bytes",
     "snapshot_backend",
     "restore_backend",
+    "checkpoint_backend",
+    "restore_chain",
     "snapshot_router",
     "restore_router",
     "snapshot_edb",
@@ -375,6 +384,11 @@ class SnapshotStore:
     (invalid by construction) and a ``LATEST`` pointer still naming the
     previous complete snapshot; :meth:`load_latest` additionally falls back
     to a newest-valid scan, so even a torn pointer cannot poison resume.
+
+    Generations saved with a ``parent`` in their meta form chains (the
+    supervisor's incremental checkpoints): a generation is valid only when
+    it and every ancestor back to a parentless one are intact, and pruning
+    never removes an ancestor of a generation it keeps.
     """
 
     _LATEST = "LATEST"
@@ -394,6 +408,9 @@ class SnapshotStore:
             if passphrase is not None
             else None
         )
+        #: Parent links of generations seen committed.  Manifests never
+        #: change once written, so pruning walks chains from memory.
+        self._parents: dict[int, int | None] = {}
 
     @property
     def path(self) -> Path:
@@ -416,32 +433,37 @@ class SnapshotStore:
         return sorted(numbers)
 
     def save(self, blobs: Mapping[str, bytes], meta: Mapping | None = None) -> int:
-        """Write one complete snapshot generation; returns its sequence."""
+        """Write one complete snapshot generation; returns its sequence.
+
+        A ``parent`` sequence in ``meta`` makes the generation a link of
+        that parent's chain.
+        """
         existing = self._sequence_numbers()
         seq = (existing[-1] if existing else 0) + 1
         store = self._open(seq)
         for name, data in blobs.items():
             store.write_blob(name, data)
         store.commit(dict(meta or {}, sequence=seq))
+        self._parents[seq] = (meta or {}).get("parent")
         atomic_write_text(self._dir / self._LATEST, f"{seq}\n")
-        self._prune(seq)
+        self._prune()
         return seq
 
     def latest_sequence(self) -> int | None:
         """Sequence of the newest *valid* snapshot (``None`` when empty).
 
-        Trusts the ``LATEST`` pointer when it names a snapshot with a valid
-        manifest; otherwise scans generations newest-first, skipping torn
-        or incomplete directories.
+        Trusts the ``LATEST`` pointer when it names a generation whose chain
+        is intact; otherwise scans generations newest-first, skipping torn
+        or incomplete directories and generations with a broken chain.
         """
         try:
             pointed = int((self._dir / self._LATEST).read_text().strip())
         except (OSError, ValueError):
             pointed = None
-        if pointed is not None and self._is_valid(pointed):
+        if pointed is not None and self.chain(pointed) is not None:
             return pointed
         for seq in reversed(self._sequence_numbers()):
-            if self._is_valid(seq):
+            if self.chain(seq) is not None:
                 return seq
         return None
 
@@ -450,21 +472,60 @@ class SnapshotStore:
         seq = self.latest_sequence()
         return None if seq is None else self._open(seq)
 
+    def chain(self, seq: int) -> list[EncryptedStore] | None:
+        """Generation ``seq`` and its ancestors, oldest (parentless) first.
+
+        Every manifest is read and verified; ``None`` when any link is
+        missing or torn.
+        """
+        links = []
+        while seq is not None:
+            if not self._snapshot_dir(seq).is_dir():
+                return None
+            store = self._open(seq)
+            try:
+                parent = store.manifest()["meta"].get("parent")
+            except StoreIntegrityError:
+                return None
+            links.append(store)
+            seq = parent
+        return links[::-1]
+
     def clear(self) -> None:
         """Remove the whole store (crash-recovery data no longer needed)."""
         shutil.rmtree(self._dir, ignore_errors=True)
 
-    def _is_valid(self, seq: int) -> bool:
-        try:
-            self._open(seq).manifest()
-        except StoreIntegrityError:
-            return False
-        return True
+    def _parent(self, seq: int) -> int | None:
+        if seq not in self._parents:
+            if not self._snapshot_dir(seq).is_dir():
+                return None
+            try:
+                meta = self._open(seq).manifest()["meta"]
+            except StoreIntegrityError:
+                return None
+            self._parents[seq] = meta.get("parent")
+        return self._parents[seq]
 
-    def _prune(self, newest: int) -> None:
-        for seq in self._sequence_numbers():
-            if seq <= newest - self._keep:
+    def _prune(self) -> None:
+        """Keep the newest :attr:`keep` generations that have a manifest,
+        and every generation they depend on; remove the rest (torn
+        leftovers included)."""
+        existing = self._sequence_numbers()
+        keep: set[int] = set()
+        kept = 0
+        for seq in reversed(existing):
+            if kept == self._keep:
+                break
+            if not (self._snapshot_dir(seq) / _MANIFEST_NAME).is_file():
+                continue
+            kept += 1
+            while seq is not None and seq not in keep:
+                keep.add(seq)
+                seq = self._parent(seq)
+        for seq in existing:
+            if seq not in keep:
                 shutil.rmtree(self._snapshot_dir(seq), ignore_errors=True)
+                self._parents.pop(seq, None)
 
 
 # -- coordinator-side replay journal ------------------------------------------
@@ -653,6 +714,20 @@ def arena_from_bytes(
     return arena
 
 
+#: EDB members that only grow: Setup/Update append to them and nothing
+#: rewrites them except an in-place command such as ``rotate_key`` (after
+#: which the next checkpoint must be full).  A checkpoint delta carries
+#: each one's suffix past the cursor; every other member of the EDB's
+#: ``__dict__`` -- RNG stream, counters, cipher, ORAM state -- is small
+#: mutable state and travels whole.
+_APPEND_ONLY = ("_executor", "_arenas", "_ciphertexts", "_update_history")
+
+#: Derived members no codec persists: restore rebuilds the arena factory,
+#: and re-registers the views (only their queries are persisted), which
+#: bootstraps them from the restored tables.
+_DERIVED = ("_views", "_arena_factory")
+
+
 def snapshot_backend(edb: "EncryptedDatabase") -> bytes:
     """Serialize one EDB back-end (plain or shared arenas) to bytes.
 
@@ -662,25 +737,31 @@ def snapshot_backend(edb: "EncryptedDatabase") -> bytes:
     raw row/handle bytes; ORAM position maps additionally get checksummed
     snapshots that :func:`restore_backend` re-verifies.
     """
-    state = dict(edb.__dict__)
-    arenas = state.pop("_arenas", {})
-    state.pop("_arena_factory", None)
-    # Views are derived state: only the registered queries are persisted;
-    # restore re-registers them and bootstraps from the restored tables.
-    views = state.pop("_views", None)
+    state = {
+        k: v for k, v in edb.__dict__.items() if k not in _DERIVED + ("_arenas",)
+    }
     payload = {
         "class": f"{type(edb).__module__}:{type(edb).__qualname__}",
         "state": state,
-        "view_queries": tuple(views.registered()) if views is not None else (),
+        "view_queries": _view_queries(edb),
         "arenas": {
-            table: arena_to_bytes(arena) for table, arena in arenas.items()
+            table: arena_to_bytes(arena) for table, arena in edb._arenas.items()
         },
-        "oram_maps": {
-            table: oram.position_map_snapshot()
-            for table, oram in state.get("_orams", {}).items()
-        },
+        "oram_maps": _oram_maps(state),
     }
     return pickle.dumps(payload)
+
+
+def _view_queries(edb: "EncryptedDatabase") -> tuple:
+    views = edb.__dict__.get("_views")
+    return tuple(views.registered()) if views is not None else ()
+
+
+def _oram_maps(state: Mapping) -> dict:
+    return {
+        table: oram.position_map_snapshot()
+        for table, oram in state.get("_orams", {}).items()
+    }
 
 
 def restore_backend(blob: bytes) -> "EncryptedDatabase":
@@ -690,7 +771,10 @@ def restore_backend(blob: bytes) -> "EncryptedDatabase":
     re-share them via ``rebuild_arenas``), and every ORAM's position map is
     verified against its stored checksum before the EDB is returned.
     """
-    payload = pickle.loads(blob)
+    return _build_backend(pickle.loads(blob))
+
+
+def _build_backend(payload: dict) -> "EncryptedDatabase":
     module_name, _, qualname = payload["class"].partition(":")
     cls = getattr(importlib.import_module(module_name), qualname)
     edb = cls.__new__(cls)
@@ -720,6 +804,107 @@ def restore_backend(blob: bytes) -> "EncryptedDatabase":
     for query in payload.get("view_queries", ()):
         edb.register_view(query)
     return edb
+
+
+def _append_cursor(edb: "EncryptedDatabase") -> dict:
+    """How long each append-only member is (JSON-serializable)."""
+    return {
+        "rows": {t: len(rows) for t, rows in edb._executor.tables.items()},
+        "arenas": {t: len(arena) for t, arena in edb._arenas.items()},
+        "objects": {t: len(c) for t, c in edb._ciphertexts.items()},
+        "history": len(edb._update_history),
+    }
+
+
+def checkpoint_backend(
+    edb: "EncryptedDatabase", cursor: Mapping | None = None
+) -> tuple[bytes, dict]:
+    """One incremental checkpoint of an EDB: ``(blob, cursor)``.
+
+    With ``cursor=None`` the blob is a full :func:`snapshot_backend`
+    snapshot.  Otherwise it is a delta over the checkpoint that returned
+    ``cursor``: the rows, arena rows and handles, object-store ciphertexts
+    and update history appended since, plus the small mutable state whole.
+    The returned cursor marks where the next delta starts.
+    :func:`restore_chain` rebuilds the EDB from a full blob and the deltas
+    written on top of it.
+    """
+    after = _append_cursor(edb)
+    if cursor is None:
+        return snapshot_backend(edb), after
+    skip = _APPEND_ONLY + _DERIVED
+    state = {k: v for k, v in edb.__dict__.items() if k not in skip}
+    delta = {
+        "state": state,
+        "view_queries": _view_queries(edb),
+        "oram_maps": _oram_maps(state),
+        "rows": {
+            t: rows[cursor["rows"].get(t, 0) :]
+            for t, rows in edb._executor.tables.items()
+            if len(rows) > cursor["rows"].get(t, 0)
+        },
+        "arenas": {
+            t: _arena_suffix(arena, cursor["arenas"].get(t, 0))
+            for t, arena in edb._arenas.items()
+            if len(arena) > cursor["arenas"].get(t, 0)
+        },
+        "objects": {
+            t: c[cursor["objects"].get(t, 0) :]
+            for t, c in edb._ciphertexts.items()
+            if len(c) > cursor["objects"].get(t, 0)
+        },
+        "history": edb._update_history[cursor["history"] :],
+    }
+    return pickle.dumps(delta), after
+
+
+def _arena_suffix(arena: CiphertextArena, start: int) -> tuple[bytes, bytes]:
+    size = len(arena)
+    return (
+        arena._data[start:size].tobytes(),
+        arena._handles[start:size].tobytes(),
+    )
+
+
+def restore_chain(blobs: Sequence[bytes]) -> "EncryptedDatabase":
+    """Rebuild an EDB from a :func:`checkpoint_backend` chain.
+
+    ``blobs[0]`` is a full snapshot and every later blob a delta over the
+    one before it.  The deltas' suffixes are appended to the full
+    snapshot's members (executor rows through the executor's own
+    ``append``, so its columnar state grows exactly as ingest grows it) and
+    the newest delta's small state replaces the older one; then the EDB is
+    built once, as :func:`restore_backend` builds it.
+    """
+    payload = pickle.loads(blobs[0])
+    state = payload["state"]
+    arena_parts = {
+        table: ([rows], [handles])
+        for table, (rows, handles, _) in payload["arenas"].items()
+    }
+    for blob in blobs[1:]:
+        delta = pickle.loads(blob)
+        state.update(delta["state"])
+        for table, rows in delta["rows"].items():
+            state["_executor"].append(table, rows)
+        for table, (rows, handles) in delta["arenas"].items():
+            row_parts, handle_parts = arena_parts.setdefault(table, ([], []))
+            row_parts.append(rows)
+            handle_parts.append(handles)
+        for table, encrypted in delta["objects"].items():
+            state["_ciphertexts"].setdefault(table, []).extend(encrypted)
+        state["_update_history"].extend(delta["history"])
+        payload["view_queries"] = delta["view_queries"]
+        payload["oram_maps"] = delta["oram_maps"]
+    payload["arenas"] = {}
+    for table, (row_parts, handle_parts) in arena_parts.items():
+        handles = b"".join(handle_parts)
+        payload["arenas"][table] = (
+            b"".join(row_parts),
+            handles,
+            len(handles) // np.dtype(np.int64).itemsize,
+        )
+    return _build_backend(payload)
 
 
 def snapshot_router(router: "ShardRouter") -> bytes:

@@ -12,7 +12,8 @@ router call through one choke point that
   ``SeedSequence([seed, shard_index])``-derived, so a chaos run's timing
   decisions replay from the seed alone;
 * rebuilds a dead shard from its newest durable
-  :class:`~repro.edb.store.SnapshotStore` generation plus the coordinator's
+  :class:`~repro.edb.store.SnapshotStore` checkpoint chain (a full
+  generation plus the deltas written on it) plus the coordinator's
   :class:`~repro.edb.store.ReplayLog` of every mutating command journaled
   since -- queries included, because an L-DP back-end draws noise per query,
   and the rebuilt RNG stream must resume exactly where the dead worker's
@@ -66,7 +67,13 @@ from repro.edb.shard_worker import (
     TransientShardError,
     default_shard_timeout,
 )
-from repro.edb.store import ReplayLog, SnapshotStore, restore_backend, snapshot_backend
+from repro.edb.store import (
+    ReplayLog,
+    SnapshotStore,
+    checkpoint_backend,
+    restore_chain,
+    snapshot_backend,
+)
 from repro.query.ast import GroupByCountQuery
 from repro.testing.chaos import (
     PROCESS_ONLY_KINDS,
@@ -108,6 +115,11 @@ _MUTATING_COMMANDS = frozenset(
         "rotate_key",
     }
 )
+
+#: Commands that rewrite append-only shard state in place (``rotate_key``
+#: re-encrypts every stored ciphertext), so the next checkpoint cannot be
+#: a delta over the old bytes and must be full.
+_REWRITING_COMMANDS = frozenset({"rotate_key"})
 
 _SHARD_BLOB = "shard.pkl"
 
@@ -226,9 +238,16 @@ class SupervisedShard:
         self._cost_model = live.cost_model
         self._leakage_profile = live.leakage_profile
         self._query_executors = tuple(getattr(live, "query_executors", ("rows",)))
+        # Checkpoint chain state: the newest generation, the cursor its
+        # successor delta starts from (``None`` = next one is full), the
+        # chain's full-generation size and the bytes of deltas written on it.
+        self._snapshot_seq: int | None = None
+        self._cursor: dict | None = None
+        self._full_bytes = 0
+        self._chain_bytes = 0
         # Generation 0 baseline: every shard is recoverable from the instant
         # it is supervised, even before its first cadence snapshot.
-        self._snapshot_seq = self._snapshot_now()
+        self._snapshot_now()
 
     # -- the choke point ------------------------------------------------------
 
@@ -267,9 +286,11 @@ class SupervisedShard:
             self._journal.stage(
                 {"tag": self._snapshot_seq, "command": command, "args": args}
             )
+            if command in _REWRITING_COMMANDS:
+                self._cursor = None
             self._since_snapshot += 1
             if self._since_snapshot >= self._config.snapshot_every:
-                self._snapshot_seq = self._snapshot_now()
+                self._snapshot_now()
         return result
 
     def _apply(self, command: str, args: tuple):
@@ -277,13 +298,13 @@ class SupervisedShard:
             (name,) = args
             return getattr(self._live, name)
         if command == "snapshot":
-            return self._live_snapshot_bytes()
+            return self._live_checkpoint(None)[0]
         return getattr(self._live, command)(*args)
 
-    def _live_snapshot_bytes(self) -> bytes:
-        if hasattr(self._live, "snapshot"):
-            return self._live.snapshot()
-        return snapshot_backend(self._live)
+    def _live_checkpoint(self, cursor: dict | None) -> tuple[bytes, dict]:
+        if hasattr(self._live, "checkpoint"):
+            return self._live.checkpoint(cursor)
+        return checkpoint_backend(self._live, cursor)
 
     # -- retry / backoff / rebuild --------------------------------------------
 
@@ -296,26 +317,33 @@ class SupervisedShard:
 
     def _recover(self, cause: TransientShardError) -> None:
         """Discard the (possibly half-mutated) live shard and rebuild it
-        from the newest durable snapshot plus the replay journal."""
+        from the newest durable checkpoint chain plus the replay journal."""
         started = _time.perf_counter()
         with self._health_lock:
             self._health.retries += 1
-        self._teardown_live()
+        self._teardown_live(kill=True)
         seq = self._store.latest_sequence()
         if seq is None:  # pragma: no cover - generation 0 is written eagerly
             raise RuntimeError(
                 f"shard {self.shard_index} has no valid snapshot to recover "
                 f"from (after {cause})"
             )
-        blob = self._store.load_latest().read_blob(_SHARD_BLOB)
-        edb = restore_backend(blob)
+        blobs, cursor = self._read_chain(seq)
+        edb = restore_chain(blobs)
         # Replay everything journaled at or after the restored generation,
         # coordinator-side, against the restored EDB -- faults and journaling
         # are *not* re-entered here, so replay never recurses or re-fires.
         entries = self._journal.entries(min_tag=seq)
         for entry in entries:
             getattr(edb, entry["command"])(*entry["args"])
+        # The chain continues from the restored generation -- a torn newer
+        # one is never a parent -- unless the replay rewrote state in place.
         self._snapshot_seq = seq
+        self._cursor = cursor
+        if any(entry["command"] in _REWRITING_COMMANDS for entry in entries):
+            self._cursor = None
+        self._full_bytes = len(blobs[0])
+        self._chain_bytes = sum(len(blob) for blob in blobs[1:])
         if self._executor == "processes":
             # Fork inheritance carries the replayed state into a fresh
             # worker, which re-shares its arenas into new shm segments and
@@ -333,13 +361,15 @@ class SupervisedShard:
             self._health.replayed_batches += len(entries)
             self._health.recovery_seconds += _time.perf_counter() - started
 
-    def _teardown_live(self) -> None:
+    def _teardown_live(self, kill: bool) -> None:
+        """Drop the live shard: killed when its state is being discarded
+        (recovery, degrade), shut down gracefully on close."""
         live, self._live = self._live, None
         if live is None:
             return
         try:
             process = getattr(live, "process", None)
-            if process is not None and process.is_alive():
+            if kill and process is not None and process.is_alive():
                 process.kill()
                 process.join(timeout=self._config.resolved_timeout())
             if hasattr(live, "stats"):
@@ -356,23 +386,47 @@ class SupervisedShard:
 
     def _mark_degraded(self) -> None:
         self._degraded = True
-        self._teardown_live()
+        self._teardown_live(kill=True)
         with self._health_lock:
             self._health.degraded_shards += 1
 
     # -- snapshots -------------------------------------------------------------
 
-    def _snapshot_now(self) -> int:
+    def _read_chain(self, seq: int) -> tuple[list[bytes], dict]:
+        """Generation ``seq``'s chain blobs (full first) and its cursor."""
+        chain = self._store.chain(seq)
+        blobs = [link.read_blob(_SHARD_BLOB) for link in chain]
+        return blobs, chain[-1].manifest()["meta"]["cursor"]
+
+    def _snapshot_now(self) -> None:
         """Write one durable generation of the live shard; prunes the journal
-        prefix no valid fallback generation can need any more."""
-        blob = self._live_snapshot_bytes()
-        seq = self._store.save({_SHARD_BLOB: blob})
+        prefix no valid fallback generation can need any more.
+
+        The generation is a delta -- what the shard appended since the
+        previous generation, which it names as its parent -- unless the
+        chain has no cursor or its deltas already add up to its full
+        generation's size: then it is full, which bounds both the bytes
+        written and a recovery's restore cost at about twice one full
+        snapshot.
+        """
+        full = self._cursor is None or self._chain_bytes >= self._full_bytes
+        blob, cursor = self._live_checkpoint(None if full else self._cursor)
+        meta = {"cursor": cursor}
+        if not full:
+            meta["parent"] = self._snapshot_seq
+        seq = self._store.save({_SHARD_BLOB: blob}, meta)
+        # The manifest is durable: only now does the chain advance.
+        fallback, self._snapshot_seq, self._cursor = self._snapshot_seq, seq, cursor
+        if full:
+            self._full_bytes, self._chain_bytes = len(blob), 0
+        else:
+            self._chain_bytes += len(blob)
         self._since_snapshot = 0
         self._journal.flush()
-        # keep-2 means the oldest reachable fallback is seq-1; its replay
-        # needs entries tagged >= seq-1, so only strictly older ones go.
-        self._journal.prune(min_tag=seq - 1)
-        return seq
+        if fallback is not None:
+            # A torn newest generation falls back to the previous one, whose
+            # replay needs entries tagged >= its sequence; older ones go.
+            self._journal.prune(min_tag=fallback)
 
     # -- fault injection -------------------------------------------------------
 
@@ -399,11 +453,12 @@ class SupervisedShard:
             process.join(timeout=self._config.resolved_timeout())
             return
         if fault.kind == "tornsnap":
-            seq = self._snapshot_now()
+            self._snapshot_now()
             # Tear the fresh generation: without its manifest it is an
             # aborted write by construction, so recovery must fall back to
             # the previous generation and a longer replay.
-            manifest = self._store._snapshot_dir(seq) / "MANIFEST.json"
+            newest = self._store._snapshot_dir(self._snapshot_seq)
+            manifest = newest / "MANIFEST.json"
             manifest.unlink(missing_ok=True)
             self._crash_live(command)
             return
@@ -499,7 +554,8 @@ class SupervisedShard:
             return None
         if command == "snapshot":
             # Last durable state; restore of a degraded fleet resumes from it.
-            return self._store.load_latest().read_blob(_SHARD_BLOB)
+            blobs, _ = self._read_chain(self._store.latest_sequence())
+            return snapshot_backend(restore_chain(blobs))
         if command == "attr":
             (name,) = args
             defaults = {
@@ -681,7 +737,7 @@ class SupervisedShard:
         if self._closed:
             return
         self._closed = True
-        self._teardown_live()
+        self._teardown_live(kill=False)
         shutil.rmtree(self._dir, ignore_errors=True)
         if self._cleanup_base:
             try:

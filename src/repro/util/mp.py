@@ -16,7 +16,9 @@ from multiprocessing import shared_memory
 __all__ = [
     "preferred_mp_context",
     "usable_cpus",
+    "create_shared_memory",
     "attach_shared_memory",
+    "unlink_shared_memory",
     "reap_process_segments",
 ]
 
@@ -52,36 +54,62 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def attach_shared_memory(
-    name: str, untrack: bool = True
+def _untracked(
+    name: str, create: bool, size: int = 0
 ) -> shared_memory.SharedMemory:
+    try:
+        return shared_memory.SharedMemory(
+            name=name, create=create, size=size, track=False
+        )
+    except TypeError:  # Python < 3.13: no track parameter
+        segment = shared_memory.SharedMemory(name=name, create=create, size=size)
+        try:  # pragma: no cover - registry internals differ across versions
+            from multiprocessing import resource_tracker
+
+            resource_tracker.unregister(segment._name, "shared_memory")
+        except Exception:
+            pass
+        return segment
+
+
+def create_shared_memory(name: str, size: int) -> shared_memory.SharedMemory:
+    """Create a named shared-memory segment the caller alone owns.
+
+    The resource tracker never keeps the name: the owner unlinks it
+    (:func:`unlink_shared_memory`) and a coordinator sweeps a killed
+    worker's segments (:func:`reap_process_segments`).  A registration
+    would only race those paths -- a dead worker's tracker, or one shared
+    with the coordinator, would later warn about names already removed.
+    """
+    return _untracked(name, create=True, size=size)
+
+
+def unlink_shared_memory(segment: shared_memory.SharedMemory) -> None:
+    """Remove a :func:`create_shared_memory` segment's name.
+
+    Raises ``FileNotFoundError`` when it is already gone.  On Python < 3.13
+    ``SharedMemory.unlink`` would also unregister the name, which the
+    tracker reports as an error for a name it does not hold.
+    """
+    if hasattr(segment, "_track"):  # pragma: no cover - Python >= 3.13
+        segment.unlink()  # honours track=False
+        return
+    try:
+        import _posixshmem
+    except ImportError:  # pragma: no cover - Windows: no names to remove
+        return
+    _posixshmem.shm_unlink(segment._name)
+
+
+def attach_shared_memory(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing named shared-memory segment without owning it.
 
-    On Python >= 3.13 this is ``SharedMemory(name, track=False)``; on older
-    versions attaching also registers the segment with the process-wide
-    resource tracker, which would unlink it when *this* process exits even
-    though the creating worker still owns it -- so the registration is
-    undone immediately.  Either way the caller must :meth:`close` (never
+    Untracked like :func:`create_shared_memory`: a tracker registration
+    would unlink the segment when *this* process exits even though its
+    creator still owns it.  The caller must :meth:`close` (never
     ``unlink``) the returned handle; unlinking is the creator's job.
-
-    Pass ``untrack=False`` when the *current* process created the segment:
-    attaching then re-registers a name the tracker already knows (a no-op),
-    and undoing it would cancel the creator's own registration -- losing the
-    crash backstop and making the creator's eventual ``unlink`` a double
-    unregister.
     """
-    try:
-        return shared_memory.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        segment = shared_memory.SharedMemory(name=name, create=False)
-        if untrack:
-            try:  # pragma: no cover - registry internals differ across versions
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
-        return segment
+    return _untracked(name, create=False)
 
 
 def reap_process_segments(pid: int) -> int:
@@ -90,16 +118,16 @@ def reap_process_segments(pid: int) -> int:
     Arena segment names embed the creating pid
     (``repro-arena-<pid>-...``), so a coordinator can sweep a SIGKILLed
     worker's segments by name.  The killed worker never ran its release
-    path, and with the fork start method its resource-tracker registrations
-    live in a tracker shared with the coordinator -- which only reaps at
-    *coordinator* exit, far too late for a long-lived fleet that keeps
-    respawning workers.  Unlinking removes the names immediately; any
-    coordinator-side attachment still holding a mapping stays readable
-    until it is closed (POSIX shm semantics).
+    path, and its segments were created untracked
+    (:func:`create_shared_memory`), so this sweep is what removes them --
+    at once, not at coordinator exit -- and no resource tracker is left
+    holding a registration to warn about later.  Any coordinator-side
+    attachment still holding a mapping stays readable until it is closed
+    (POSIX shm semantics).
 
     Returns the number of segments unlinked.  Callers must only pass the
     pid of a process known to be dead.  No-op on platforms without a
-    ``/dev/shm`` filesystem (segments then die with the tracker).
+    ``/dev/shm`` filesystem.
     """
     shm_root = "/dev/shm"
     prefix = f"repro-arena-{int(pid)}-"
@@ -113,6 +141,6 @@ def reap_process_segments(pid: int) -> int:
             try:
                 os.unlink(os.path.join(shm_root, entry))
                 reaped += 1
-            except OSError:  # pragma: no cover - raced with the tracker
+            except OSError:  # pragma: no cover - already removed
                 pass
     return reaped

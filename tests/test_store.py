@@ -226,6 +226,33 @@ def test_snapshot_store_skips_torn_generation(tmp_path):
     assert store.load_latest().read_blob("state.bin") == b"four"
 
 
+def test_snapshot_store_prunes_by_chain(tmp_path):
+    """A delta generation's ancestors survive ``keep``; a generation whose
+    chain is broken is not valid for ``latest_sequence``."""
+    store = SnapshotStore(tmp_path, keep=2)
+    assert store.save({"state.bin": b"full-1"}, {}) == 1
+    for seq in range(2, 5):
+        assert store.save({"state.bin": b"delta"}, {"parent": seq - 1}) == seq
+    # keep=2 alone would drop 1 and 2, but generation 4 depends on both.
+    kept = sorted(p.name for p in (tmp_path / "snapshots").iterdir())
+    assert kept == ["00000001", "00000002", "00000003", "00000004"]
+    chain = store.chain(4)
+    assert [link.manifest()["meta"]["sequence"] for link in chain] == [1, 2, 3, 4]
+    assert chain[0].read_blob("state.bin") == b"full-1"
+    # Tearing a middle link breaks every generation built on it: the
+    # newest-valid scan skips 4 and 3 and lands on the intact prefix.
+    (tmp_path / "snapshots" / "00000002" / "MANIFEST.json").unlink()
+    assert store.chain(4) is None
+    assert store.latest_sequence() == 1
+    # A new full generation starts a fresh chain; the old one is pruned
+    # once no kept generation depends on it.
+    assert store.save({"state.bin": b"full-5"}, {}) == 5
+    assert store.save({"state.bin": b"delta"}, {"parent": 5}) == 6
+    kept = sorted(p.name for p in (tmp_path / "snapshots").iterdir())
+    assert kept == ["00000005", "00000006"]
+    assert store.latest_sequence() == 6
+
+
 def test_snapshot_store_sealed_shares_one_salt(tmp_path):
     store = SnapshotStore(tmp_path, passphrase="pw")
     store.save({"state.bin": b"one"}, {})
