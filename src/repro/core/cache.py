@@ -107,9 +107,12 @@ class LocalCache:
         return tuple(self._buffer)
 
     def extend(self, records: Iterable[Record]) -> None:
-        """Write several records in order."""
-        for record in records:
-            self.write(record)
+        """Write several records in order (one bulk append)."""
+        records = tuple(records)
+        if any(record.is_dummy for record in records):
+            raise ValueError("dummy records are generated on read, never cached")
+        self._buffer.extend(records)
+        self._total_written += len(records)
 
     @property
     def mode(self) -> CacheMode:

@@ -3,12 +3,16 @@
 The owner is the client-side party of the SOGDB model: it receives logical
 updates over time, holds the logical database, consults its synchronization
 strategy every time unit and runs the EDB's Setup/Update protocols when the
-strategy signals.  It also maintains the update-pattern transcript and the
-per-table logical mirror used by the accuracy metrics.
+strategy signals.  Stretches of quiet time units -- where the strategy can
+decide nothing -- arrive as one run (:meth:`Owner.receive_run`); every
+synchronization still goes through :meth:`Owner.tick`.  The owner also
+maintains the update-pattern transcript and the per-table logical mirror
+used by the accuracy metrics.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from repro.core.strategies.base import SyncDecision, SyncStrategy
@@ -102,6 +106,36 @@ class Owner:
             )
             self._pattern.record(time, result.total_added)
         return decision
+
+    def receive_run(
+        self, limit: int, times: Sequence[int], records: Sequence[Record]
+    ) -> int:
+        """Absorb the quiet ticks after :attr:`current_time` in one call.
+
+        ``times``/``records`` are the undelivered arrivals in time order (any
+        beyond ``limit`` are not part of the run).  The strategy's
+        :meth:`~SyncStrategy.quiet_until` picks the run's last tick ``end``;
+        the arrivals up to ``end`` are validated exactly as :meth:`tick`
+        validates one, appended to the logical mirror and handed to
+        :meth:`~SyncStrategy.absorb`.  No run ever synchronizes -- every
+        sync goes through :meth:`tick`.  Returns ``end`` (``current_time``
+        when nothing was absorbable).
+        """
+        if not self._initialized:
+            raise RuntimeError("owner must be initialized before receiving")
+        now = self._current_time
+        end = self._strategy.quiet_until(now, limit, times)
+        if end <= now:
+            return now
+        run = records[: bisect_right(times, end)]
+        for record in run:
+            self._check_record(record)
+            if record.is_dummy:
+                raise ValueError("logical updates are never dummy records")
+        self._logical.extend(run)
+        self._strategy.absorb(now, end, run)
+        self._current_time = end
+        return end
 
     # -- durability ----------------------------------------------------------
 

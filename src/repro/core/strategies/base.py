@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.cache import CacheMode, LocalCache
 from repro.dp.composition import PrivacyAccountant
 from repro.dp.mechanisms import LaplaceBlockStream
-from repro.edb.records import Record
+from repro.edb.records import Record, count_dummy
 
 __all__ = ["SyncDecision", "SyncStrategy"]
 
@@ -65,8 +65,11 @@ class SyncDecision:
 
     @staticmethod
     def no_sync() -> "SyncDecision":
-        """A decision that performs no synchronization."""
-        return SyncDecision(should_sync=False)
+        """A decision that performs no synchronization (one shared instance)."""
+        return _NO_SYNC
+
+
+_NO_SYNC = SyncDecision(should_sync=False)
 
 
 class SyncStrategy(abc.ABC):
@@ -149,6 +152,38 @@ class SyncStrategy(abc.ABC):
         """
         return now + 1
 
+    # -- run-length delivery ----------------------------------------------------
+
+    def quiet_until(self, now: int, limit: int, times: Sequence[int]) -> int:
+        """The last tick ``end`` in ``[now, limit]`` whose steps are all quiet.
+
+        A step is *quiet* when it cannot synchronize and touches nothing but
+        the cache, the received counters and the sparse-vector comparison
+        noise -- no Perturb draw, no accountant spend.  ``times`` are the
+        undelivered arrival times after ``now``, increasing; those beyond
+        ``limit`` are not part of the run.  The engine delivers ticks
+        ``(now, end]`` through one :meth:`absorb` call and the tick after
+        ``end`` through :meth:`step` -- so when ``end < limit`` that tick
+        must be an arrival or a :meth:`next_event` time.  Reads state only.
+
+        The default absorbs nothing (``end == now``), which keeps unknown
+        subclasses exactly on the per-tick path.
+        """
+        return now
+
+    def absorb(self, now: int, end: int, records: Sequence[Record]) -> None:
+        """Apply the quiet steps of ticks ``(now, end]`` in one call.
+
+        ``records`` are the run's arrivals (validated by the owner) and
+        ``end`` is at most :meth:`quiet_until`'s answer.  The result equals
+        one :meth:`step` per tick, each returning no synchronization.  The
+        base caches the records; subclasses add their own counters.
+        """
+        if not self._initialized:
+            raise RuntimeError("absorb() called before setup()")
+        self._received_total += len(records)
+        self.cache.extend(records)
+
     # -- template methods ------------------------------------------------------
 
     def setup(self, initial: Sequence[Record]) -> list[Record]:
@@ -188,8 +223,9 @@ class SyncStrategy(abc.ABC):
     # -- bookkeeping ------------------------------------------------------------
 
     def _note_outgoing(self, records: Sequence[Record]) -> None:
-        self._synced_real_total += sum(1 for r in records if not r.is_dummy)
-        self._synced_dummy_total += sum(1 for r in records if r.is_dummy)
+        dummies = count_dummy(records)
+        self._synced_dummy_total += dummies
+        self._synced_real_total += len(records) - dummies
 
     def make_dummy(self, time: int) -> Record:
         """Create a dummy record (delegates to the configured factory)."""

@@ -13,6 +13,7 @@ rounds compose in parallel and the overall update pattern is
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,9 @@ from repro.dp.mechanisms import AboveThreshold
 from repro.edb.records import Record
 
 __all__ = ["DPANTStrategy"]
+
+#: Ticks compared by the first window of a quiet-run scan (then doubling).
+_FIRST_WINDOW = 16
 
 
 class DPANTStrategy(SyncStrategy):
@@ -130,6 +134,42 @@ class DPANTStrategy(SyncStrategy):
         if self._sparse.resample_noise or self._comparison_pending:
             return now + 1
         return self._flush.next_flush_after(now)
+
+    def quiet_until(self, now: int, limit: int, times: Sequence[int]) -> int:
+        """The tick before the first sparse-vector crossing or flush tick.
+
+        The comparison counts of the ticks after ``now`` are the round count
+        plus the run's cumulative arrivals; :meth:`AboveThreshold.quiet_steps`
+        compares a window of them at once against the noisy threshold (with
+        the resampled noise read ahead from the block stream, or the held
+        draw).  Windows double from ``_FIRST_WINDOW`` ticks: most rounds end
+        within a few ticks, so only a short prefix of the arrivals is ever
+        converted.
+        """
+        next_flush = self._flush.next_flush_after(now)
+        end = limit if next_flush is None else min(limit, next_flush - 1)
+        start, seen, count = now, 0, self._round_received
+        width = _FIRST_WINDOW
+        while start < end:
+            stop = min(end, start + width)
+            upto = bisect_right(times, stop, seen)
+            offsets = np.array(times[seen:upto], dtype=np.int64) - (start + 1)
+            counts = count + np.bincount(offsets, minlength=stop - start).cumsum()
+            quiet = self._sparse.quiet_steps(counts, self._noise, start - now)
+            if quiet < stop - start:
+                return start + quiet
+            start, seen, count = stop, upto, count + upto - seen
+            width *= 2
+        return max(now, end)
+
+    def absorb(self, now: int, end: int, records: Sequence[Record]) -> None:
+        super().absorb(now, end, records)
+        self._round_received += len(records)
+        self._sparse.skip(end - now, self._noise)
+        if end > now:
+            # A quiet comparison clears the flag, as in step(); keeping it
+            # would only cost spurious wake-ups.
+            self._comparison_pending = False
 
     def _step(self, time: int, update: Record | None) -> SyncDecision:
         if update is not None:

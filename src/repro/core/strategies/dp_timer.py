@@ -109,6 +109,14 @@ class DPTimerStrategy(SyncStrategy):
             candidates.append(next_flush)
         return min(candidates)
 
+    def quiet_until(self, now: int, limit: int, times: Sequence[int]) -> int:
+        # Every step before the next timer or flush tick only caches.
+        return min(limit, self.next_event(now) - 1)
+
+    def absorb(self, now: int, end: int, records: Sequence[Record]) -> None:
+        super().absorb(now, end, records)
+        self._window_received += len(records)
+
     def _initial_records(self, initial: Sequence[Record]) -> list[Record]:
         gamma0 = perturb(len(initial), self._epsilon, self.cache, self._noise, 0)
         self.accountant.spend(self._epsilon, partition="setup", label="M_setup")

@@ -58,6 +58,10 @@ class OTOStrategy(SyncStrategy):
         # OTO is offline after setup; only arrivals touch its bookkeeping.
         return None
 
+    def quiet_until(self, now: int, limit: int, times) -> int:
+        # Every step after setup only caches: the whole run is quiet.
+        return limit
+
     def _initial_records(self, initial: Sequence[Record]) -> list[Record]:
         return self.cache.drain()
 

@@ -82,6 +82,29 @@ class LaplaceBlockStream:
         self._cursor += 1
         return float(value)
 
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` standard variates, without consuming them.
+
+        The bulk read behind run-length delivery: a strategy compares a whole
+        run of ticks at once, then :meth:`advance`\\ s past exactly the draws
+        the scalar loop would have made.  Missing variates are drawn in whole
+        ``block_size`` blocks, so the values (and the order of generator
+        calls) are the ones :meth:`standard` would have served.
+        """
+        available = self._block.shape[0] - self._cursor
+        if available < n:
+            blocks = -(-(n - available) // self._block_size)
+            fresh = self._rng.laplace(0.0, 1.0, size=blocks * self._block_size)
+            self._block = np.concatenate((self._block[self._cursor :], fresh))
+            self._cursor = 0
+        return self._block[self._cursor : self._cursor + n]
+
+    def advance(self, n: int) -> None:
+        """Consume ``n`` variates already returned by :meth:`peek`."""
+        if not 0 <= n <= self._block.shape[0] - self._cursor:
+            raise ValueError(f"cannot advance {n} past the peeked variates")
+        self._cursor += n
+
     def laplace(self, loc: float = 0.0, scale: float = 1.0) -> float:
         """Drop-in for ``Generator.laplace`` on scalars, served from the block.
 
@@ -268,3 +291,35 @@ class AboveThreshold:
             self.reset(rng)
             return True
         return False
+
+    def quiet_steps(
+        self, counts: np.ndarray, rng: LaplaceBlockStream, offset: int = 0
+    ) -> int:
+        """How many leading :meth:`step` calls on ``counts`` would not cross.
+
+        ``counts`` is the integer vector of the counts successive steps would
+        compare, starting ``offset`` steps after the next one.  Reads the
+        per-step noise with :meth:`LaplaceBlockStream.peek` and consumes
+        nothing (:meth:`skip` does).  The counts convert to float64 exactly,
+        and elementwise ``scale * z`` and ``count + noise`` round like the
+        scalar ``float(count) + scale * z`` of :meth:`step`, so every
+        comparison -- and hence the first crossing -- is the one the scalar
+        loop makes.
+        """
+        if not self._initialized:
+            raise RuntimeError("AboveThreshold.quiet_steps called before reset()")
+        if not counts.shape[0]:
+            return 0
+        if self.resample_noise:
+            noise = rng.peek(offset + counts.shape[0])[offset:]
+            noisy = counts + self.query_scale * noise
+        else:
+            noisy = counts + self._held_noise
+        crossed = noisy >= self._noisy_threshold
+        first = int(crossed.argmax())
+        return first if crossed[first] else counts.shape[0]
+
+    def skip(self, steps: int, rng: LaplaceBlockStream) -> None:
+        """Apply ``steps`` non-crossing steps found by :meth:`quiet_steps`."""
+        if self.resample_noise:
+            rng.advance(steps)

@@ -9,8 +9,10 @@ at the self-scheduled times their strategies report via
 schedule runs as a periodic event after all owner activity of a tick.
 
 Quiet stretches are skipped in ``O(log n)`` heap operations instead of
-``O(horizon)`` dead Python iterations, while the event ordering reproduces
-the legacy loop's behaviour exactly (see ``tests/test_engine_equivalence``).
+``O(horizon)`` dead Python iterations, and the arrivals inside them reach the
+owner as one run rather than one wake-up each, while the event ordering
+reproduces the per-tick loop's behaviour exactly (see
+``tests/test_engine_equivalence`` and ``tests/test_run_delivery``).
 """
 
 from repro.engine.core import Engine, EngineStats

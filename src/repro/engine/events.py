@@ -1,34 +1,28 @@
 """Scheduled-event primitives.
 
-The scheduler is a plain binary heap of ``(time, priority, sequence)`` keys.
-``priority`` is an arbitrary comparable (the engine uses ``(class, index)``
-tuples so all owner wake-ups of a tick precede the query schedule);
-``sequence`` is a monotonically increasing tiebreaker that keeps the order of
-same-key events stable and ensures payloads are never compared.
+The scheduler is a plain binary heap of ``(time, class, index, sequence,
+payload)`` tuples.  ``(class, index)`` is the event's priority within a time
+unit (the engine gives every owner wake-up class 0 and the query schedule
+class 1, so all owner activity of a tick precedes it); ``sequence`` is a
+monotonically increasing tiebreaker that keeps same-key events in insertion
+order and ensures payloads are never compared.  Plain tuples compare in C,
+so a push or pop costs no Python-level ``__lt__`` calls.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["ScheduledEvent", "EventScheduler"]
 
-
-@dataclass(frozen=True, order=True)
-class ScheduledEvent:
-    """One heap entry: ``(time, priority, sequence)`` plus an opaque payload."""
-
-    time: int
-    priority: Any
-    sequence: int
-    payload: Any = field(compare=False)
+#: One heap entry: ``(time, class, index, sequence, payload)``.
+ScheduledEvent = tuple[int, int, int, int, Any]
 
 
 class EventScheduler:
-    """A min-heap of :class:`ScheduledEvent`, popped in time/priority order."""
+    """A min-heap of :data:`ScheduledEvent` tuples, popped in time/priority order."""
 
     def __init__(self) -> None:
         self._heap: list[ScheduledEvent] = []
@@ -42,13 +36,14 @@ class EventScheduler:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def schedule(self, time: int, priority: Any, payload: Any) -> ScheduledEvent:
-        """Push an event; same-key events pop in insertion order."""
+    def schedule(
+        self, time: int, priority: tuple[int, int], payload: Any
+    ) -> ScheduledEvent:
+        """Push an event with priority ``(class, index)``; same-key events
+        pop in insertion order."""
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = ScheduledEvent(
-            time=time, priority=priority, sequence=next(self._sequence), payload=payload
-        )
+        event = (time, priority[0], priority[1], next(self._sequence), payload)
         heapq.heappush(self._heap, event)
         self._pushed += 1
         return event
@@ -62,7 +57,7 @@ class EventScheduler:
 
     def peek_time(self) -> int | None:
         """Time of the earliest event, or ``None`` when empty."""
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     @property
     def events_scheduled(self) -> int:

@@ -21,7 +21,10 @@ ground truth correct when a foreign table grows outside this deployment.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
+from bisect import bisect_right
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -52,9 +55,10 @@ class Deployment:
         :class:`~repro.edb.router.ShardRouter` over K shards.
     truth_source:
         Optional :class:`~repro.query.incremental.IncrementalTruth`; when
-        given, every record delivered through :meth:`receive` (and the
-        initial databases passed to :meth:`start`) feeds the maintained
-        ground-truth aggregates.
+        given, the initial databases passed to :meth:`start` and every record
+        delivered through :meth:`receive` / :meth:`receive_run` feed the
+        maintained ground-truth aggregates (the latter in bulk, at the next
+        :meth:`settle_truth`).
     """
 
     def __init__(
@@ -68,8 +72,14 @@ class Deployment:
         #: re-registered (sources are arbitrary callables the store cannot
         #: persist).  Queries touching them raise until re-registration.
         self._pending_table_sources: set[str] = set()
+        #: Arrivals delivered since the last :meth:`settle_truth`, per member:
+        #: ``(times, records)`` in time order.  Ground truth is fed in bulk at
+        #: observation boundaries instead of once per arrival.
+        self._unsettled: dict[str, tuple[list[int], list[Record]]] = {}
         self._analyst = Analyst(
-            edb, truth_source=truth_source, maintained_tables=self._owned_tables
+            edb,
+            truth_source=truth_source,
+            maintained_tables=self._owned_tables,
         )
         self._started = False
 
@@ -202,6 +212,7 @@ class Deployment:
 
         from repro.edb import store as edb_store
 
+        self.settle_truth()
         store = edb_store.EncryptedStore(directory, passphrase=passphrase)
         kind, blob = edb_store.snapshot_edb(self._edb)
         store.write_blob("edb.pkl", blob)
@@ -282,11 +293,73 @@ class Deployment:
         """Deliver the logical update ``u_t`` of one member for time ``time``."""
         if not self._started:
             raise RuntimeError("call start() before receive()")
-        owner = self._members[owner_name]
-        decision = owner.tick(time, update)
+        decision = self._members[owner_name].tick(time, update)
         if update is not None and self._truth is not None:
-            self._truth.ingest_one(owner.table, update)
+            times, records = self._unsettled_of(owner_name)
+            times.append(time)
+            records.append(update)
         return decision
+
+    def receive_run(
+        self,
+        owner_name: str,
+        limit: int,
+        times: Sequence[int],
+        records: Sequence[Record],
+    ) -> int:
+        """Deliver one member's quiet run up to tick ``limit``: ``records``
+        arriving at ``times``, in time order (any beyond ``limit`` are not
+        part of the run).
+
+        The member absorbs the leading ticks its strategy can decide nothing
+        about (:meth:`~repro.core.owner.Owner.receive_run`); returns the last
+        absorbed tick.  The caller delivers the following tick through
+        :meth:`receive` and the remaining arrivals in a later run.
+        """
+        if not self._started:
+            raise RuntimeError("call start() before receive_run()")
+        end = self._members[owner_name].receive_run(limit, times, records)
+        if self._truth is not None and times and times[0] <= end:
+            absorbed = bisect_right(times, end)
+            pending_times, pending_records = self._unsettled_of(owner_name)
+            pending_times.extend(times[:absorbed])
+            pending_records.extend(records[:absorbed])
+        return end
+
+    def settle_truth(self) -> None:
+        """Feed every arrival delivered since the last call to ground truth.
+
+        One bulk :meth:`~repro.query.incremental.IncrementalTruth.ingest` per
+        table, merging the members of a shared table in ``(time, member
+        order)`` -- the order per-arrival ingestion used -- so maintained
+        group orders and answers are unchanged.  Called before the first
+        query of an observation and before any snapshot.
+        """
+        if not self._unsettled:
+            return
+        unsettled, self._unsettled = self._unsettled, {}
+        by_table: dict[str, list[tuple[int, list[int], list[Record]]]] = {}
+        for index, (name, owner) in enumerate(self._members.items()):
+            if name in unsettled:
+                times, records = unsettled[name]
+                by_table.setdefault(owner.table, []).append((index, times, records))
+        for table, members in by_table.items():
+            if len(members) == 1:
+                self._truth.ingest(table, members[0][2])
+                continue
+            merged = heapq.merge(
+                *(
+                    zip(times, itertools.repeat(index), records)
+                    for index, times, records in members
+                )
+            )
+            self._truth.ingest(table, [record for _, _, record in merged])
+
+    def _unsettled_of(self, owner_name: str) -> tuple[list[int], list[Record]]:
+        pending = self._unsettled.get(owner_name)
+        if pending is None:
+            pending = self._unsettled[owner_name] = ([], [])
+        return pending
 
     def query(self, query: Query | str, time: int | None = None) -> AnalystObservation:
         """Run a query (AST or SQL) through the fleet's Query protocol."""
@@ -302,6 +375,7 @@ class Deployment:
                 "truth would silently miss their records otherwise)"
             )
         at = time if time is not None else self.current_time
+        self.settle_truth()
         return self._analyst.query(parsed, self.logical_tables, time=at)
 
     # -- fleet state -----------------------------------------------------------
@@ -385,12 +459,19 @@ class Deployment:
 
     @property
     def analyst(self) -> Analyst:
-        """The fleet-level analyst."""
+        """The fleet-level analyst, its ground truth settled up to now.
+
+        Ground truth is fed in bulk at :meth:`settle_truth`, which
+        :meth:`query` runs before every query; a reference to the analyst
+        held across later deliveries reads truth as of its last settle.
+        """
+        self.settle_truth()
         return self._analyst
 
     @property
     def truth_source(self) -> IncrementalTruth | None:
-        """The maintained ground-truth aggregates, when enabled."""
+        """The maintained ground-truth aggregates, when enabled (call
+        :meth:`settle_truth` first to include the latest arrivals)."""
         return self._truth
 
     @property

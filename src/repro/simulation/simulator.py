@@ -18,13 +18,14 @@ per stream, all outsourcing to the shared EDB.  The owners are coordinated
 through a :class:`repro.fleet.Deployment`, whose per-member strategies draw
 from ``SeedSequence``-spawned noise streams.
 
-Since the event-driven refactor, :meth:`Simulation.run` is a thin wrapper
-over :class:`repro.engine.Engine`: every owner's stream is interleaved in one
-event heap, woken only at its logical arrivals and at its strategy's
-self-scheduled times (timer boundaries, flush ticks), and ground-truth
-answers are maintained incrementally instead of rescanning the logical
-tables at every query time.  The original per-tick loop survives as
-:meth:`Simulation.run_legacy`; both paths produce bit-identical
+:meth:`Simulation.run` is a thin wrapper over :class:`repro.engine.Engine`:
+every owner's stream is interleaved in one event heap and delivered through
+the :class:`~repro.fleet.Deployment` -- quiet stretches as one run
+(:meth:`~repro.fleet.Deployment.receive_run`), the ticks a strategy can
+decide one at a time (:meth:`~repro.fleet.Deployment.receive`) -- and
+ground-truth answers are maintained incrementally, fed in bulk at each
+observation.  The original per-tick loop is the test-side oracle
+:func:`repro.testing.legacy.run_legacy`; both produce bit-identical
 :class:`RunResult`\\ s at a fixed seed (see
 ``tests/test_engine_equivalence.py``) and the benchmark
 ``benchmarks/bench_engine_speed.py`` tracks the speedup.
@@ -32,6 +33,7 @@ tables at every query time.  The original per-tick loop survives as
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -52,7 +54,6 @@ from repro.engine import Engine
 from repro.fleet import Deployment
 from repro.query.ast import Query
 from repro.query.incremental import IncrementalTruth
-from repro.simulation.clock import SimulationClock
 from repro.simulation.results import QueryTrace, RunResult, TimePoint
 from repro.workload.stream import GrowingDatabase
 
@@ -114,7 +115,7 @@ class SimulationConfig:
 
 @dataclass
 class _RunContext:
-    """Everything one run (engine or legacy) operates on."""
+    """Everything one run operates on."""
 
     edb: EncryptedDatabase
     analyst: Analyst
@@ -177,9 +178,11 @@ class Simulation:
         """Execute the simulation on the event-driven engine.
 
         Owners are woken only at logical arrivals and at their strategies'
-        :meth:`~repro.core.strategies.base.SyncStrategy.next_event` times;
-        every skipped tick is a strategy no-op, so the result is identical to
-        :meth:`run_legacy` at the same seed.
+        :meth:`~repro.core.strategies.base.SyncStrategy.next_event` times,
+        and absorb each stretch of quiet ticks in one run; every skipped or
+        absorbed tick is a strategy no-op, so the result is identical to the
+        per-tick loop (:func:`repro.testing.legacy.run_legacy`) at the same
+        seed.
 
         When ``persist_dir`` is given, the run writes a durable
         :class:`~repro.edb.store.SnapshotStore` snapshot after every query
@@ -198,15 +201,16 @@ class Simulation:
             store = SnapshotStore(persist_dir, passphrase=persist_passphrase)
         ctx, resume_time = self._build_or_resume(store)
         try:
-            truth = ctx.analyst.truth_source
+            deployment = ctx.deployment
             engine = Engine(ctx.horizon, start_time=resume_time)
             for stream, owner in ctx.owners.items():
                 engine.add_stream(
                     stream,
-                    deliver=self._make_deliver(owner, truth),
+                    deliver=functools.partial(deployment.receive, stream),
                     arrivals=self._workloads[stream].arrivals(),
                     next_self_event=owner.strategy.next_event,
                     resume_at=owner.current_time if resume_time else 0,
+                    absorb=functools.partial(deployment.receive_run, stream),
                 )
             if self._config.query_interval:
                 engine.add_periodic(
@@ -226,28 +230,6 @@ class Simulation:
             if store is not None:
                 store.clear()
             return result
-        finally:
-            self._close_edb(ctx)
-
-    def run_legacy(self) -> RunResult:
-        """Execute the simulation with the original per-tick loop.
-
-        Kept as the reference implementation: it visits every owner at every
-        time unit and recomputes ground truth by rescanning the logical
-        tables.  The equivalence tests pin :meth:`run` against it.
-        """
-        ctx = self._build(incremental_truth=False)
-        try:
-            clock = SimulationClock(
-                horizon=ctx.horizon, query_interval=self._config.query_interval
-            )
-            for time in clock.iter_ticks():
-                for stream, owner in ctx.owners.items():
-                    update = self._workloads[stream].update_at(time)
-                    owner.tick(time, update)
-                if clock.is_query_time():
-                    self._observe(time, ctx)
-            return self._finalize(ctx)
         finally:
             self._close_edb(ctx)
 
@@ -296,13 +278,14 @@ class Simulation:
         """Write one durable snapshot generation (fires after ``_observe``)."""
         from repro.edb import store as edb_store
 
+        ctx.deployment.settle_truth()
         kind, blob = edb_store.snapshot_edb(ctx.edb)
         blobs = {
             "edb.pkl": blob,
             "owners.pkl": pickle.dumps(
                 {name: owner.export_state() for name, owner in ctx.owners.items()}
             ),
-            "truth.pkl": pickle.dumps(ctx.analyst.truth_source),
+            "truth.pkl": pickle.dumps(ctx.deployment.truth_source),
             "observations.pkl": pickle.dumps(list(ctx.analyst.observations)),
             "result.json": json.dumps(
                 ctx.result.to_dict(), sort_keys=True
@@ -361,7 +344,11 @@ class Simulation:
     # -- construction ---------------------------------------------------------------
 
     def _build(self, incremental_truth: bool = True) -> _RunContext:
-        """Instantiate the EDB, owner fleet and analyst shared by both modes."""
+        """Instantiate the EDB, owner fleet and analyst.
+
+        ``incremental_truth=False`` leaves ground truth to full rescans (the
+        per-tick oracle in :mod:`repro.testing.legacy` uses it).
+        """
         config = self._config
         edb = self._edb_factory()
 
@@ -435,17 +422,6 @@ class Simulation:
             horizon=horizon,
         )
 
-    @staticmethod
-    def _make_deliver(owner: Owner, truth: IncrementalTruth | None):
-        table = owner.table
-
-        def deliver(time, update):
-            owner.tick(time, update)
-            if update is not None and truth is not None:
-                truth.ingest_one(table, update)
-
-        return deliver
-
     # -- internals ------------------------------------------------------------------
 
     def _finalize(self, ctx: _RunContext) -> RunResult:
@@ -483,9 +459,9 @@ class Simulation:
 
     def _observe(self, time: int, ctx: _RunContext) -> None:
         for query in ctx.queries:
-            observation = ctx.analyst.query(
-                query, ctx.deployment.logical_tables, time=time
-            )
+            # The first query settles the ground truth buffered since the last
+            # observation, outside the analyst's query itself.
+            observation = ctx.deployment.query(query, time=time)
             ctx.result.add_query_trace(
                 QueryTrace(
                     time=time,

@@ -4,7 +4,7 @@ per-tick loop bit for bit.
 For every strategy and both back-ends, two identically-configured
 simulations are executed -- one through :meth:`Simulation.run` (scheduled
 events, incremental ground truth, batched ingestion) and one through
-:meth:`Simulation.run_legacy` (the original loop, full rescans).  Their
+:func:`repro.testing.legacy.run_legacy` (the original loop, full rescans).  Their
 :class:`RunResult`\\ s must compare equal on every field: timeline, query
 traces, sync counts and update volumes.  This is the contract that makes
 skipping quiet ticks safe: a skipped tick must be a strategy no-op, and the
@@ -22,6 +22,7 @@ from repro.simulation.experiment import (
     taxi_workloads,
 )
 from repro.simulation.simulator import Simulation, SimulationConfig
+from repro.testing.legacy import run_legacy
 
 SCALE = 0.02  # ~864 time units; large enough to hit timers, flushes, queries
 
@@ -62,7 +63,7 @@ def build(workloads, queries, strategy, backend, **overrides):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_engine_reproduces_legacy_loop(workloads, queries, strategy, backend):
     engine_result = build(workloads, queries, strategy, backend).run()
-    legacy_result = build(workloads, queries, strategy, backend).run_legacy()
+    legacy_result = run_legacy(build(workloads, queries, strategy, backend))
     assert engine_result == legacy_result
 
 
@@ -70,9 +71,9 @@ def test_equivalence_without_query_schedule(workloads, queries):
     engine_result = build(
         workloads, queries, "dp-timer", "oblidb", query_interval=0
     ).run()
-    legacy_result = build(
-        workloads, queries, "dp-timer", "oblidb", query_interval=0
-    ).run_legacy()
+    legacy_result = run_legacy(
+        build(workloads, queries, "dp-timer", "oblidb", query_interval=0)
+    )
     assert engine_result == legacy_result
     assert len(engine_result.timeline) == 1
 
@@ -82,9 +83,9 @@ def test_equivalence_with_truncated_horizon(workloads, queries):
     engine_result = build(
         workloads, queries, "dp-ant", "oblidb", horizon=500
     ).run()
-    legacy_result = build(
-        workloads, queries, "dp-ant", "oblidb", horizon=500
-    ).run_legacy()
+    legacy_result = run_legacy(
+        build(workloads, queries, "dp-ant", "oblidb", horizon=500)
+    )
     assert engine_result == legacy_result
 
 
@@ -92,18 +93,18 @@ def test_equivalence_with_flush_disabled(workloads, queries):
     engine_result = build(
         workloads, queries, "dp-timer", "oblidb", flush=FlushPolicy.disabled()
     ).run()
-    legacy_result = build(
-        workloads, queries, "dp-timer", "oblidb", flush=FlushPolicy.disabled()
-    ).run_legacy()
+    legacy_result = run_legacy(
+        build(workloads, queries, "dp-timer", "oblidb", flush=FlushPolicy.disabled())
+    )
     assert engine_result == legacy_result
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_equivalence_across_seeds(workloads, queries, seed):
     engine_result = build(workloads, queries, "dp-ant", "crypte", seed=seed).run()
-    legacy_result = build(
-        workloads, queries, "dp-ant", "crypte", seed=seed
-    ).run_legacy()
+    legacy_result = run_legacy(
+        build(workloads, queries, "dp-ant", "crypte", seed=seed)
+    )
     assert engine_result == legacy_result
 
 

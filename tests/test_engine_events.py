@@ -20,7 +20,7 @@ class TestEventScheduler:
         scheduler.schedule(3, (1, 0), "early-periodic")
         scheduler.schedule(5, (0, 0), "stream-a")
         scheduler.schedule(5, (0, 0), "stream-a-again")
-        popped = [scheduler.pop().payload for _ in range(len(scheduler))]
+        popped = [scheduler.pop()[-1] for _ in range(len(scheduler))]
         assert popped == [
             "early-periodic",
             "stream-a",
@@ -116,6 +116,66 @@ class TestEngine:
         engine.add_stream("T", lambda t, u: None, next_self_event=lambda now: now)
         with pytest.raises(ValueError):
             engine.run()
+
+    def test_runs_stop_at_periodic_times(self):
+        """A run is offered up to the next periodic time, never past it."""
+        engine = Engine(horizon=10)
+        offered = []
+
+        def absorb(limit, times, records):
+            offered.append((limit, [t for t in times if t <= limit]))
+            return limit
+
+        engine.add_stream(
+            "T", lambda t, u: None, arrivals=[(2, rec(2)), (7, rec(7))], absorb=absorb
+        )
+        engine.add_periodic(4, lambda t: None)
+        stats = engine.run()
+        assert offered == [(4, [2]), (8, [7])]
+        assert stats.arrivals_delivered == 2
+        assert stats.ticks_delivered == 2
+
+    def test_run_past_its_limit_rejected(self):
+        engine = Engine(horizon=10)
+        engine.add_stream(
+            "T", lambda t, u: None, arrivals=[(2, rec(2))],
+            absorb=lambda limit, times, records: limit + 1,
+        )
+        with pytest.raises(ValueError):
+            engine.run()
+
+    @pytest.mark.parametrize("absorbs", [False, True])
+    def test_look_ahead_stays_bounded_without_periodics(self, absorbs):
+        """With no periodic a run may reach the horizon, yet the engine holds
+        at most one pulled chunk of a long, dense stream at any time."""
+        horizon = 5_000
+        pulled = [0]
+
+        def arrivals():
+            for t in range(1, horizon + 1):
+                pulled[0] = t
+                yield t, rec(t)
+
+        delivered = []
+
+        def deliver(t, u):
+            assert pulled[0] - t <= 64
+            delivered.append(t)
+
+        def absorb(limit, times, records):
+            assert len(times) <= 64
+            assert pulled[0] - limit <= 64
+            return limit if absorbs else -1
+
+        engine = Engine(horizon=horizon)
+        engine.add_stream("T", deliver, arrivals=arrivals(), absorb=absorb)
+        stats = engine.run()
+        assert stats.arrivals_delivered == horizon
+        if absorbs:
+            assert delivered == []
+            assert stats.ticks_delivered == 1
+        else:
+            assert delivered == list(range(1, horizon + 1))
 
     def test_run_only_once_and_no_late_registration(self):
         engine = Engine(horizon=1)

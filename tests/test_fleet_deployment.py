@@ -219,6 +219,7 @@ def test_fleet_logical_gap_sums_over_primary_table_members():
     """TimePoint.logical_gap covers the whole primary table, not partition #0."""
     from repro.simulation.runner import make_backend
     from repro.simulation.simulator import Simulation, SimulationConfig
+    from repro.testing.legacy import run_legacy
     from repro.workload.scenarios import build_scenario
 
     workloads = partition_fleet(build_scenario("poisson", seed=8, scale=0.1), 4)
@@ -293,6 +294,7 @@ def test_fleet_engine_matches_legacy_loop():
     """All fleet owners interleave in one event heap: run == run_legacy."""
     from repro.simulation.runner import make_backend, make_sharded_backend
     from repro.simulation.simulator import Simulation, SimulationConfig
+    from repro.testing.legacy import run_legacy
     from repro.workload.scenarios import build_scenario
 
     workloads = partition_fleet(
@@ -305,9 +307,9 @@ def test_fleet_engine_matches_legacy_loop():
     engine_run = Simulation(
         make_sharded_backend("oblidb", 2, seed=4), workloads, queries, config
     ).run()
-    legacy_run = Simulation(
-        make_sharded_backend("oblidb", 2, seed=4), workloads, queries, config
-    ).run_legacy()
+    legacy_run = run_legacy(
+        Simulation(make_sharded_backend("oblidb", 2, seed=4), workloads, queries, config)
+    )
     assert engine_run == legacy_run
 
 
